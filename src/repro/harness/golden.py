@@ -31,18 +31,27 @@ from repro.workload.synthetic import SyntheticWorkload
 SCENARIO = "golden-fig3/1"
 
 
-def golden_fig3_cluster(duration_s: float = 3.0, seed: int = 7) -> GageCluster:
+def golden_fig3_cluster(
+    duration_s: float = 3.0,
+    seed: int = 7,
+    fidelity: str = "flow",
+    spare_policy: str = "none",
+    reservation_grps: float = 120.0,
+) -> GageCluster:
     """Run the canonical small Figure-3-style scenario and return the cluster.
 
-    Two subscribers driven above reservation with spare allocation off, a
-    100 ms accounting cycle, two RPNs, flow fidelity — small enough for a
-    test, busy enough to exercise the CPU slicer, the disk channel, the
-    credit scheduler, and the accounting walk.
+    Two subscribers driven above reservation, a 100 ms accounting cycle,
+    two RPNs — small enough for a test, busy enough to exercise the CPU
+    slicer, the disk channel, the credit scheduler, and the accounting
+    walk.  The defaults (flow fidelity, spare allocation off, reservations
+    that fill the cluster) are the paper's Figure-3 setup;
+    ``fidelity="packet"`` adds the simulated network, and ``spare_policy``
+    with a ``reservation_grps`` below capacity exercises the spare rounds.
     """
     env = Environment()
     names = ["site1", "site2"]
-    subscribers = [Subscriber(name, 120.0, queue_capacity=256) for name in names]
-    config = GageConfig(accounting_cycle_s=0.1, spare_policy="none")
+    subscribers = [Subscriber(name, reservation_grps, queue_capacity=256) for name in names]
+    config = GageConfig(accounting_cycle_s=0.1, spare_policy=spare_policy)
     workload = SyntheticWorkload(
         rates={name: 60.0 for name in names},
         duration_s=duration_s,
@@ -57,7 +66,7 @@ def golden_fig3_cluster(duration_s: float = 3.0, seed: int = 7) -> GageCluster:
         site_files,
         num_rpns=2,
         config=config,
-        fidelity="flow",
+        fidelity=fidelity,
         rpn_cache_bytes=8 * 1024 * 1024,
     )
     cluster.load_trace(workload.generate())

@@ -1,5 +1,10 @@
 """The golden-digest determinism gate.
 
+``golden_fig3.sha256`` pins the paper's Figure-3 setup in flow fidelity;
+``golden_packet.sha256`` pins the same scenario in packet fidelity, and
+``golden_spare.sha256`` pins spare allocation on (the default policy)
+with reservations that leave half the cluster spare.
+
 ``golden_fig3.sha256`` was computed from the pre-refactor engine
 (dataclass packets, Event-per-``call_later``, per-slice CPU processes).
 Every later engine change must reproduce it byte-for-byte: same
@@ -13,6 +18,10 @@ unexplained mismatch.
 
 from pathlib import Path
 
+import pytest
+
+from repro.core.config import SPARE_BY_RESERVATION
+
 from repro.harness.golden import (
     SCENARIO,
     accounting_digest,
@@ -21,6 +30,12 @@ from repro.harness.golden import (
 )
 
 GOLDEN_FILE = Path(__file__).with_name("golden_fig3.sha256")
+
+#: Digest file -> ``golden_fig3_cluster`` arguments for the variants.
+VARIANTS = {
+    "golden_packet.sha256": dict(fidelity="packet"),
+    "golden_spare.sha256": dict(spare_policy=SPARE_BY_RESERVATION, reservation_grps=60.0),
+}
 
 
 def test_fixed_seed_run_matches_committed_digest():
@@ -50,3 +65,20 @@ def test_digest_is_order_canonical():
     b = golden_fig3_cluster()
     assert accounting_lines(a) == accounting_lines(b)
     assert accounting_digest(a) == accounting_digest(b)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_variant_run_matches_committed_digest(name):
+    committed = Path(__file__).with_name(name).read_text().strip()
+    cluster = golden_fig3_cluster(**VARIANTS[name])
+    assert len(accounting_lines(cluster)) > 500
+    assert accounting_digest(cluster) == committed, (
+        "fixed-seed accounting output of {} diverged from its committed "
+        "golden digest".format(name)
+    )
+
+
+def test_spare_variant_dispatches_on_spare_credit():
+    # The spare digest only pins the spare rounds if they run.
+    cluster = golden_fig3_cluster(**VARIANTS["golden_spare.sha256"])
+    assert cluster.rdn.scheduler.spare_dispatches > 100
