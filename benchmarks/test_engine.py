@@ -5,14 +5,8 @@ it pins the three per-event costs the hot-path rearchitecture targets —
 raw event dispatch, per-packet forwarding, and one credit-scheduler
 cycle — so a future change that regresses the engine shows up directly
 rather than smeared across a 40-second figure run.
-
-The suite document depends on the build: a pure-Python run writes
-``BENCH_engine.json``, a run with the mypyc extensions active writes
-``BENCH_engine_compiled.json``.  CI runs both on the same runner and
-gates the compiled/pure speedup with ``scripts/bench_speedup.py``.
 """
 
-from repro import _compiled
 from repro.core.accounting import RDNAccounting
 from repro.core.config import GageConfig
 from repro.core.grps import ResourceVector, grps
@@ -30,9 +24,6 @@ from .test_table3_overhead import client_packet, small_cluster
 #: per-round Environment setup is noise.
 DISPATCH_CHAIN = 10_000
 
-#: Which suite document this module writes (see module docstring).
-BENCHSTORE_SUITE = "engine_compiled" if _compiled.is_active() else "engine"
-
 #: Timing drift on runners below this core count is advisory, not
 #: gating (``bench_compare`` CONFIG semantics): a busy 1-core box
 #: time-slices the benchmark against the harness itself.
@@ -40,7 +31,6 @@ MIN_CORES = 2
 
 
 def _stamp(benchmark):
-    benchmark.extra_info["build"] = _compiled.build_kind()
     benchmark.extra_info["min_cores"] = MIN_CORES
 
 

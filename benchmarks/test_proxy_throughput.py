@@ -17,7 +17,6 @@ pre-rework (connection-per-request) baseline.
 import asyncio
 
 from repro.harness.loadgen import ProxyRig, closed_loop, open_loop
-from repro.proxy import loop_policy
 from repro.proxy.splice import splice_stats
 
 from .conftest import print_banner
@@ -60,7 +59,6 @@ def _closed_round(keep_alive: bool):
             zero_copy["sendfile_served"] = sum(
                 backend.sendfile_served for backend in rig.backends
             )
-            zero_copy["loop"] = loop_policy.running_loop_kind()
             return result, rig.proxy.pool.hit_rate, zero_copy
         finally:
             await rig.stop()
@@ -139,7 +137,6 @@ def test_closed_loop_keepalive(benchmark):
     benchmark.extra_info["perf_pool_hit_rate"] = round(hit_rate, 4)
     benchmark.extra_info["perf_sendmsg_writes"] = zero_copy["sendmsg_writes"]
     benchmark.extra_info["perf_sendfile_bodies"] = zero_copy["sendfile_served"]
-    benchmark.extra_info["event_loop"] = zero_copy["loop"] or "asyncio"
     benchmark.extra_info["requests"] = REQUESTS
     benchmark.extra_info["concurrency"] = CONCURRENCY
 

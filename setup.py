@@ -1,45 +1,11 @@
-"""Setup shim, plus the opt-in mypyc build of the engine hot path.
+"""Setup shim.
 
-The default install is pure Python (``pip install -e . --no-build-isolation
+The install is pure Python (``pip install -e . --no-build-isolation
 --no-use-pep517`` works offline — the sandbox this reproduction was
 developed in has no ``wheel`` package and no network access).  All real
 metadata lives in ``pyproject.toml``.
-
-Setting ``REPRO_MYPYC=1`` compiles the five hot modules
-(:mod:`repro.sim.events`, :mod:`repro.sim.process`, :mod:`repro.sim.engine`,
-:mod:`repro.net.packet`, :mod:`repro.net.tcp`) to C extensions with mypyc.
-That requires mypy to be installed; use ``scripts/build_compiled.py`` for
-the full in-place build (it also writes the ``_compiled_stamp.json`` the
-loader in :mod:`repro._compiled` demands before trusting the extensions).
 """
-
-import importlib.util
-import os
 
 from setuptools import setup
 
-
-def _compiled_module_list():
-    """COMPILED_MODULES from repro/_compiled.py without importing repro.
-
-    The loader module is self-contained by design; loading it standalone
-    keeps ``setup.py`` from executing the whole package at build time.
-    """
-    here = os.path.dirname(os.path.abspath(__file__))
-    path = os.path.join(here, "src", "repro", "_compiled.py")
-    spec = importlib.util.spec_from_file_location("_repro_compiled_meta", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.COMPILED_MODULES
-
-
-ext_modules = []
-if os.environ.get("REPRO_MYPYC", "") not in ("", "0"):
-    from mypyc.build import mypycify
-
-    sources = [
-        os.path.join("src", "repro", rel) for _name, rel in _compiled_module_list()
-    ]
-    ext_modules = mypycify(sources, strip_asserts=False)
-
-setup(ext_modules=ext_modules)
+setup()

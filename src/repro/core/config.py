@@ -35,12 +35,6 @@ PLACEMENT_OFF = "off"
 PLACEMENT_UTILIZATION = "utilization"
 PLACEMENT_PROFIT = "profit"
 
-#: How death promotion picks among a subscriber's live backups:
-#: ``least_loaded`` re-balances (minimum committed utilization wins),
-#: ``first`` keeps the historic first-live-backup order.
-PLACEMENT_PROMOTE_LEAST_LOADED = "least_loaded"
-PLACEMENT_PROMOTE_FIRST = "first"
-
 
 @dataclass
 class GageConfig:
@@ -135,12 +129,6 @@ class GageConfig:
         still queued when it expires is answered 504 without dialing a
         backend, and backend waits never extend past the remaining
         deadline.  ``None`` disables deadlines.
-    proxy_event_loop:
-        Which event loop the proxy's worker processes and CLI entry
-        points run on: ``"auto"`` (uvloop when importable, else the
-        stdlib loop), ``"uvloop"`` (required — fail if missing), or
-        ``"asyncio"`` (stdlib always).  See
-        :mod:`repro.proxy.loop_policy`.
     """
 
     scheduling_cycle_s: float = 0.010
@@ -174,7 +162,6 @@ class GageConfig:
     proxy_retry_budget: Optional[int] = None
     proxy_retry_budget_refill_per_s: float = 1.0
     proxy_request_deadline_s: Optional[float] = None
-    proxy_event_loop: str = "auto"
     #: Online placement with admission control (extension, §Placement in
     #: the docs): ``"off"`` admits everything and leaves dispatch
     #: unrestricted (the paper's model); ``"utilization"`` packs
@@ -184,11 +171,6 @@ class GageConfig:
     #: capacity is reserved ahead of failures.
     placement_policy: str = PLACEMENT_OFF
     placement_k_backup: int = 1
-    #: Death-promotion choice among live backups: ``"least_loaded"``
-    #: promotes onto the backup with the lowest committed utilization
-    #: (heterogeneous clusters keep their balance across repeated
-    #: deaths); ``"first"`` is the historic first-live-backup order.
-    placement_promote_policy: str = PLACEMENT_PROMOTE_LEAST_LOADED
 
     def __post_init__(self) -> None:
         if self.scheduling_cycle_s <= 0:
@@ -260,14 +242,3 @@ class GageConfig:
             )
         if self.placement_k_backup < 0:
             raise ValueError("placement k_backup must be non-negative")
-        if self.placement_promote_policy not in (
-            PLACEMENT_PROMOTE_LEAST_LOADED,
-            PLACEMENT_PROMOTE_FIRST,
-        ):
-            raise ValueError(
-                "unknown promote policy: {!r}".format(self.placement_promote_policy)
-            )
-        if self.proxy_event_loop not in ("auto", "uvloop", "asyncio"):
-            raise ValueError(
-                "proxy_event_loop must be 'auto', 'uvloop', or 'asyncio'"
-            )

@@ -38,8 +38,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 from repro.core.config import (
     PLACEMENT_OFF,
     PLACEMENT_PROFIT,
-    PLACEMENT_PROMOTE_FIRST,
-    PLACEMENT_PROMOTE_LEAST_LOADED,
     PLACEMENT_UTILIZATION,
 )
 from repro.core.grps import GENERIC_REQUEST, ResourceVector
@@ -50,8 +48,6 @@ __all__ = [
     "PLACEMENT_OFF",
     "PLACEMENT_UTILIZATION",
     "PLACEMENT_PROFIT",
-    "PLACEMENT_PROMOTE_FIRST",
-    "PLACEMENT_PROMOTE_LEAST_LOADED",
     "PlacementEngine",
     "PlacementStats",
     "NodeView",
@@ -241,20 +237,11 @@ class PlacementEngine:
         objective: str = PLACEMENT_UTILIZATION,
         generic: ResourceVector = GENERIC_REQUEST,
         custom_objective: Optional[Objective] = None,
-        promote_policy: str = PLACEMENT_PROMOTE_LEAST_LOADED,
     ) -> None:
         if k_backup < 0:
             raise ValueError("k_backup must be non-negative")
         if custom_objective is None and objective not in _OBJECTIVES:
             raise ValueError("unknown placement objective: {!r}".format(objective))
-        if promote_policy not in (
-            PLACEMENT_PROMOTE_LEAST_LOADED,
-            PLACEMENT_PROMOTE_FIRST,
-        ):
-            raise ValueError(
-                "unknown promote policy: {!r}".format(promote_policy)
-            )
-        self.promote_policy = promote_policy
         self.k_backup = k_backup
         self.objective_name = objective if custom_objective is None else "custom"
         self._objective: Objective = (
@@ -476,20 +463,11 @@ class PlacementEngine:
         — as are the reservations of any dead backups encountered, whose
         reserved capacity protects nobody.
 
-        ``least_loaded`` scans every live backup and promotes the one
-        with the lowest committed utilization (ties keep backup-list
-        order), so repeated deaths re-balance instead of piling onto
-        whichever backup was reserved first; ``first`` reproduces the
-        historic first-live-backup scan exactly.
+        Every live backup is scanned and the one with the lowest
+        committed utilization is promoted (ties keep backup-list order),
+        so repeated deaths re-balance instead of piling onto whichever
+        backup was reserved first.
         """
-        if self.promote_policy == PLACEMENT_PROMOTE_FIRST:
-            while embedding.backups:
-                candidate = embedding.backups.pop(0)
-                candidate_node = self._nodes.get(candidate)
-                self._drop_backup(candidate, dead, embedding.demand)
-                if candidate_node is not None and candidate_node.up:
-                    return candidate
-            return None
         best: Optional[str] = None
         best_utilization = 0.0
         for candidate in embedding.backups:

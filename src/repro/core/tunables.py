@@ -327,11 +327,6 @@ def _registry() -> Tuple[Tunable, ...]:
             lo=0.1, hi=30.0, optional=True,
         ),
         Tunable(
-            "proxy_event_loop", CHOICE, "auto",
-            "Event loop for proxy workers and CLI entry points.",
-            choices=("auto", "uvloop", "asyncio"),
-        ),
-        Tunable(
             "placement_policy", CHOICE, "off",
             "Online embedding + admission control (extension; off is the "
             "paper's admit-everything model).",
@@ -341,12 +336,6 @@ def _registry() -> Tuple[Tunable, ...]:
             "placement_k_backup", INT, 1,
             "Backup RPNs reserved per placed subscriber.",
             lo=0, hi=3,
-        ),
-        Tunable(
-            "placement_promote_policy", CHOICE, "least_loaded",
-            "Backup chosen when a primary dies (`first` is the legacy "
-            "first-live-backup scan).",
-            choices=("least_loaded", "first"),
         ),
     )
 

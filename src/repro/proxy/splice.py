@@ -31,11 +31,10 @@ Two relay paths exist:
   when the destination's write buffer crosses its high-water mark the
   source is ``pause_reading()``-ed until the destination drains back
   under its low-water mark.  No per-chunk ``drain()``.
-- :func:`relay_exactly` / :func:`relay_until_eof` — the stream fallback
-  (used under test doubles or non-transport readers).  Since the data
-  plane rework these also drain only when the destination's write
-  buffer exceeds its high-water mark, and refuse to write into a
-  transport that is already closing.
+- :func:`relay_exactly` — the stream fallback (used under test doubles
+  or non-transport readers).  Since the data plane rework it also drains
+  only when the destination's write buffer exceeds its high-water mark,
+  and refuses to write into a transport that is already closing.
 """
 
 from __future__ import annotations
@@ -325,23 +324,6 @@ async def relay_exactly(
         if remaining and over_high_water(writer):
             await writer.drain()
     return copied
-
-
-async def relay_until_eof(
-    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-) -> int:
-    """Copy from ``reader`` to ``writer`` until EOF; returns bytes copied."""
-    copied = 0
-    while True:
-        chunk = await reader.read(RELAY_CHUNK)
-        if not chunk:
-            return copied
-        if destination_closing(writer):
-            raise ConnectionResetError("destination closed during relay")
-        writer.write(chunk)
-        copied += len(chunk)
-        if over_high_water(writer):
-            await writer.drain()
 
 
 class _SpliceProtocol(asyncio.Protocol):

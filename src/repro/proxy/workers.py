@@ -49,7 +49,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from repro.core.config import GageConfig
 from repro.core.shard import GlobalAllocator, ShardCreditReport
 from repro.core.subscriber import Subscriber
-from repro.proxy import loop_policy
 from repro.proxy.frontend import DEFAULT_BACKEND_CAPACITY, GageProxy
 from repro.resources import ResourceVector
 from repro.telemetry.aggregate import merge_snapshots
@@ -206,13 +205,9 @@ async def _worker_async(spec: WorkerSpec) -> None:
 
 
 def _worker_main(spec: WorkerSpec) -> None:
-    """Entry point of one worker process.
-
-    The event loop the worker's whole data plane runs on is chosen here,
-    per ``config.proxy_event_loop`` (uvloop when importable, by default).
-    """
+    """Entry point of one worker process."""
     try:
-        loop_policy.run(_worker_async(spec), spec.config.proxy_event_loop)
+        asyncio.run(_worker_async(spec))
     except KeyboardInterrupt:
         pass
 

@@ -8,7 +8,6 @@ from repro.proxy.splice import (
     destination_closing,
     over_high_water,
     relay_exactly,
-    relay_until_eof,
     splice_exactly,
 )
 
@@ -66,17 +65,6 @@ def test_relay_exactly_short_source_raises():
 
     with pytest.raises(asyncio.IncompleteReadError):
         asyncio.run(main())
-
-
-def test_relay_until_eof():
-    async def main():
-        sink = SinkWriter()
-        copied = await relay_until_eof(feed(b"hello world"), sink)
-        return copied, bytes(sink.data)
-
-    copied, data = asyncio.run(main())
-    assert copied == 11
-    assert data == b"hello world"
 
 
 def test_relay_zero_bytes():
