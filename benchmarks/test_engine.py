@@ -71,7 +71,7 @@ def test_scheduler_cycle(benchmark):
     """One §3.4 credit cycle over two backlogged subscriber queues."""
     config = GageConfig()
     queues = SubscriberQueues()
-    accounting = RDNAccounting()
+    accounting = RDNAccounting(queues.table)
     nodes = NodeScheduler(window_s=0.25)
     subscribers = [Subscriber("gold", 100), Subscriber("bronze", 50)]
     for subscriber in subscribers:

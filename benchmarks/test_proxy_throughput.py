@@ -111,8 +111,7 @@ def test_closed_loop_keepalive(benchmark):
         )
     )
     print(
-        "  loop {}   sendmsg {} writes/{} B   sendfile {} bodies/{} B".format(
-            zero_copy["loop"],
+        "  sendmsg {} writes/{} B   sendfile {} bodies/{} B".format(
             zero_copy["sendmsg_writes"],
             zero_copy["sendmsg_bytes"],
             zero_copy["sendfile_served"],

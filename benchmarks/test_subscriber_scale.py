@@ -60,7 +60,7 @@ def _build_plane(total):
     """A scheduler over ``total`` registered subscribers, shared table."""
     config = GageConfig(spare_policy="none", dispatch_window_s=3600.0)
     queues = SubscriberQueues()
-    accounting = RDNAccounting(table=queues.table)
+    accounting = RDNAccounting(queues.table)
     nodes = NodeScheduler(
         policy=config.node_policy, window_s=config.dispatch_window_s
     )

@@ -44,9 +44,7 @@ from repro.core.secondary import SecondaryRDN
 from repro.core.shard import (
     CreditGrant,
     GlobalAllocator,
-    SchedulerShard,
     ShardCreditReport,
-    ShardedScheduler,
     ShardMap,
 )
 from repro.core.simulation import GageCluster, default_rpn_capacity
@@ -89,13 +87,11 @@ __all__ = [
     "RPNUsageReport",
     "ResourceVector",
     "ScheduleDecision",
-    "SchedulerShard",
     "SecondaryRDN",
     "ServiceHandle",
     "ServiceReport",
     "ShardCreditReport",
     "ShardMap",
-    "ShardedScheduler",
     "Subscriber",
     "SubscriberAccount",
     "SubscriberQueues",

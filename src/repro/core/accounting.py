@@ -14,8 +14,8 @@ subscriber id (shared :class:`~repro.core.subscriber.SubscriberTable`),
 and the collection keeps a **dirty id set** — every balance mutation
 that is *not* the scheduler's own refill (credit, dispatch, cancel,
 feedback, node death, or any by-name account lookup that might mutate)
-marks the subscriber dirty, which is the signal the lazy scheduler uses
-to wake a settled subscriber.  The refill itself must not mark, or no
+marks the subscriber dirty, which is the signal the scheduler uses to
+wake a settled subscriber.  The refill itself must not mark, or no
 subscriber would ever settle.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.feedback import AccountingMessage
 from repro.core.grps import ResourceVector
@@ -61,28 +61,19 @@ class SubscriberAccount:
 class RDNAccounting:
     """All subscriber accounts plus the feedback-application logic.
 
-    ``partition`` names the subscribers this instance accounts for;
-    registering one outside it raises (``None`` = unpartitioned).
-    ``table`` is the shared id table; pass the queues' table so the
-    scheduler can address accounts by dense id.
+    ``table`` is the queues' id table, so the scheduler can address
+    accounts by dense id.  The accounting never releases an id: that
+    belongs to the table's owner, after every component let go.
     """
 
-    def __init__(
-        self,
-        partition: Optional[Iterable[str]] = None,
-        table: Optional[SubscriberTable] = None,
-    ) -> None:
+    def __init__(self, table: SubscriberTable) -> None:
         self._accounts: Dict[str, SubscriberAccount] = {}
-        self._owns_table = table is None
-        self.table = table if table is not None else SubscriberTable()
+        self.table = table
         #: id → account; None marks an unregistered (or foreign-id) slot.
         self._by_id: List[Optional[SubscriberAccount]] = []
         #: Ids whose balance may have changed outside the refill path
         #: since the scheduler last drained the set.
         self._dirty: Set[int] = set()
-        self.partition: Optional[Set[str]] = (
-            None if partition is None else set(partition)
-        )
         #: (time, subscriber, usage) samples, for deviation analysis.
         self.usage_log: List[Tuple[float, str, ResourceVector]] = []
         self.keep_usage_log = True
@@ -105,12 +96,6 @@ class RDNAccounting:
         """Create the account for a new subscriber."""
         if subscriber.name in self._accounts:
             raise RuntimeError("account {!r} already exists".format(subscriber.name))
-        if self.partition is not None and subscriber.name not in self.partition:
-            raise ValueError(
-                "subscriber {!r} outside this accounting partition".format(
-                    subscriber.name
-                )
-            )
         account = SubscriberAccount(subscriber)
         sid = self.table.intern(subscriber.name)
         account.sid = sid
@@ -127,8 +112,7 @@ class RDNAccounting:
         Any predictions still pending against RPNs are folded into
         ``total_forgotten`` so the conservation invariant
         (Σcharged == Σbacked_out + Σrefunded + Σforgotten + Σpending)
-        survives the departure.  The id is released for reuse only when
-        this instance owns its table.
+        survives the departure.
         """
         account = self._accounts.pop(name, None)
         if account is None:
@@ -140,22 +124,13 @@ class RDNAccounting:
         account.estimated.clear()
         self._by_id[account.sid] = None
         self._dirty.discard(account.sid)
-        if self.partition is not None:
-            self.partition.discard(name)
-        if self._owns_table:
-            self.table.release(name)
         return account
-
-    def extend_partition(self, name: str) -> None:
-        """Admit one more name into this instance's partition (churn)."""
-        if self.partition is not None:
-            self.partition.add(name)
 
     def account(self, name: str) -> SubscriberAccount:
         """Look up an account (KeyError if unknown).
 
         The caller may mutate the returned account, so its subscriber is
-        conservatively marked dirty (woken for the next lazy cycle).
+        conservatively marked dirty (woken for the next cycle).
         """
         account = self._accounts[name]
         self._dirty.add(account.sid)

@@ -1,10 +1,8 @@
 """The credit ledger: per-subscriber credit vectors and spare-pool state.
 
-Extracted from :class:`~repro.core.scheduler.RequestScheduler` so the
-same credit arithmetic is reusable by any scheduler instance — the
-single-instance control plane, one shard of a partitioned control plane
-(:mod:`repro.core.shard`), or a proxy worker process.  The ledger owns
-the three pieces of state the WRR cycle needs beyond the balances
+Extracted from :class:`~repro.core.scheduler.RequestScheduler`; every
+scheduler instance — the simulated RDN's or one proxy worker's — owns
+one.  The ledger owns the three pieces of state the WRR cycle needs beyond the balances
 themselves:
 
 - the **credit memo** — each subscriber's per-cycle refill vector and
@@ -13,12 +11,11 @@ themselves:
   array-backed by the interned subscriber id on the hot path
   (:meth:`cycle_credit_by_id`), with the name-keyed :meth:`cycle_credit`
   kept for standalone use;
-- the **reserved-sum memo** — the summed reservation vector behind the
+- the **reserved sum** — the summed reservation vector behind the
   spare-pool computation (capacity minus reservations).  The scheduler
   feeds registrations through :meth:`add_reservation` /
   :meth:`remove_reservation` so the sum is maintained incrementally:
-  O(1) per cycle instead of an O(total) rebuild whenever the subscriber
-  tuple changes;
+  O(1) per cycle;
 - the **spare deficit** — deficit-round-robin rollover of unused spare
   share, without which each queue forfeits its fractional share every
   cycle.
@@ -52,7 +49,7 @@ _CreditEntry = Tuple[float, ResourceVector, ResourceVector]
 
 class CreditLedger:
     """Credit vectors, spare-pool math, and deficit rollover for one
-    scheduler instance (one subscriber partition)."""
+    scheduler instance."""
 
     def __init__(self, config: GageConfig) -> None:
         self.config = config
@@ -60,12 +57,6 @@ class CreditLedger:
         self._credit_cache: Dict[str, _CreditEntry] = {}
         #: Dense-id mirror of the credit memo for the scheduler hot path.
         self._credit_by_id: List[Optional[_CreditEntry]] = []
-        #: (per-subscriber reservation key, summed reservation vector)
-        #: memo for the legacy spare-pool computation.
-        self._reserved_cache: Tuple[Tuple[Tuple[str, float], ...], ResourceVector] = (
-            (),
-            ResourceVector.ZERO,
-        )
         #: Incrementally-tracked reservation sum (per cycle) over the
         #: subscribers fed through add_reservation/remove_reservation.
         self._tracked_reserved = ResourceVector.ZERO
@@ -167,28 +158,6 @@ class CreditLedger:
         """
         capacity = capacity_per_s.scaled(self.config.scheduling_cycle_s)
         return (capacity - self._tracked_reserved).clamped_min(0.0)
-
-    def spare_pool(
-        self, capacity_per_s: ResourceVector, subscribers: List[Subscriber]
-    ) -> ResourceVector:
-        """Capacity this cycle beyond the sum of all reservations.
-
-        The legacy O(total)-rebuild form, kept for standalone callers
-        that do not maintain the tracked sum.
-        """
-        cycle = self.config.scheduling_cycle_s
-        capacity = capacity_per_s.scaled(cycle)
-        key = tuple((s.name, s.reservation_grps) for s in subscribers)
-        if key == self._reserved_cache[0]:
-            reserved = self._reserved_cache[1]
-        else:
-            reserved = ResourceVector.ZERO
-            for subscriber in subscribers:
-                reserved = reserved + subscriber.reservation_vector(
-                    self.config.generic_request
-                ).scaled(cycle)
-            self._reserved_cache = (key, reserved)
-        return (capacity - reserved).clamped_min(0.0)
 
     def spare_weights(self, backlogged: List[RequestQueue]) -> Dict[str, float]:
         """Normalized spare-share weights over the backlogged queues."""

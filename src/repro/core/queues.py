@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Set
 
 from repro.core.subscriber import Subscriber, SubscriberTable
 from repro.telemetry.registry import get_registry
@@ -125,23 +125,13 @@ class RequestQueue:
 class SubscriberQueues:
     """The RDN's collection of per-subscriber queues, in visit order.
 
-    ``partition`` names the subscribers this instance is responsible
-    for; registering a subscriber outside it raises.  ``None`` (the
-    default) is the unpartitioned single-instance control plane.  A
-    sharded control plane (:mod:`repro.core.shard`) runs one instance
-    per partition.
-
     ``table`` is the shared :class:`SubscriberTable`; passing the same
     instance to the accounting and the classifier gives every component
     the same dense id for a name.  When omitted the collection owns a
     private table (and releases ids on :meth:`unregister` itself).
     """
 
-    def __init__(
-        self,
-        partition: Optional[Iterable[str]] = None,
-        table: Optional[SubscriberTable] = None,
-    ) -> None:
+    def __init__(self, table: Optional[SubscriberTable] = None) -> None:
         self._queues: Dict[str, RequestQueue] = {}
         self._owns_table = table is None
         self.table = table if table is not None else SubscriberTable()
@@ -156,9 +146,6 @@ class SubscriberQueues:
         #: Registration hooks: called as fn(queue) after (un)register.
         self.on_register: List[Callable[[RequestQueue], None]] = []
         self.on_unregister: List[Callable[[RequestQueue], None]] = []
-        self.partition: Optional[Set[str]] = (
-            None if partition is None else set(partition)
-        )
 
     def __len__(self) -> int:
         return len(self._queues)
@@ -178,10 +165,6 @@ class SubscriberQueues:
         """Allocate the queue for a new subscriber."""
         if subscriber.name in self._queues:
             raise RuntimeError("subscriber {!r} already registered".format(subscriber.name))
-        if self.partition is not None and subscriber.name not in self.partition:
-            raise ValueError(
-                "subscriber {!r} outside this queue partition".format(subscriber.name)
-            )
         queue = RequestQueue(subscriber)
         sid = self.table.intern(subscriber.name)
         queue.sid = sid
@@ -217,16 +200,9 @@ class SubscriberQueues:
         for hook in self.on_unregister:
             hook(queue)
         queue._owner = None
-        if self.partition is not None:
-            self.partition.discard(name)
         if self._owns_table:
             self.table.release(name)
         return queue
-
-    def extend_partition(self, name: str) -> None:
-        """Admit one more name into this instance's partition (churn)."""
-        if self.partition is not None:
-            self.partition.add(name)
 
     def get(self, name: str) -> Optional[RequestQueue]:
         """The queue for ``name``, or None."""

@@ -136,7 +136,7 @@ class PrimaryRDN:
         # classifier, so every component resolves a name to the same
         # dense interned id.
         self.queues = SubscriberQueues()
-        self.accounting = RDNAccounting(table=self.queues.table)
+        self.accounting = RDNAccounting(self.queues.table)
         self.classifier = RequestClassifier(table=self.queues.table)
         self.node_scheduler = NodeScheduler(
             policy=config.node_policy, window_s=config.dispatch_window_s

@@ -29,18 +29,18 @@ account access.  Because settling requires the *exact* fixed point, the
 fixed-seed dispatch/accounting stream is byte-identical to the historic
 every-subscriber walk (the golden digest pins this).
 
-The O(active) path needs queue ids and account ids to agree, i.e. the
+The walk addresses a queue and its account by one dense id, so the
 queues and the accounting must share one
-:class:`~repro.core.subscriber.SubscriberTable`.  With separate tables
-(legacy wiring, many unit tests) the scheduler transparently falls back
-to the historic every-subscriber walk — same decisions, original cost.
+:class:`~repro.core.subscriber.SubscriberTable`; the constructor rejects
+separate tables.  The simulated RDN and the proxy front end both wire
+them that way, so both run this one walk.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.accounting import RDNAccounting, SubscriberAccount
 from repro.core.config import (
@@ -84,39 +84,25 @@ class RequestScheduler:
         accounting: RDNAccounting,
         node_scheduler: NodeScheduler,
         dispatch_fn: DispatchFn,
-        ledger: Optional[CreditLedger] = None,
-        partition: Optional[Iterable[str]] = None,
         placement: Optional[PlacementEngine] = None,
     ) -> None:
+        if queues.table is not accounting.table:
+            raise ValueError(
+                "the queues and the accounting must share one SubscriberTable"
+            )
         self.config = config
         self.queues = queues
         self.accounting = accounting
         self.node_scheduler = node_scheduler
         self.dispatch_fn = dispatch_fn
-        #: Credit vectors, spare-pool memos, and the deficit-round-robin
-        #: rollover live in the (injectable) ledger so a sharded control
-        #: plane can run one per partition.
-        self.ledger = ledger if ledger is not None else CreditLedger(config)
+        #: Credit vectors, the reserved sum, and the deficit-round-robin
+        #: rollover.
+        self.ledger = CreditLedger(config)
         #: Optional placement layer: when present, each subscriber may
         #: only be dispatched to the RPNs its embedding allows.
         self.placement = placement
-        #: The subscriber names this instance is responsible for (None =
-        #: unpartitioned, the single-instance control plane).  Queues
-        #: registered outside the partition are a wiring bug.
-        self.partition: Optional[Set[str]] = (
-            None if partition is None else set(partition)
-        )
-        if self.partition is not None:
-            for subscriber in queues.subscribers():
-                if subscriber.name not in self.partition:
-                    raise ValueError(
-                        "queue {!r} outside scheduler partition".format(subscriber.name)
-                    )
         self._estimators: Dict[str, UsageEstimator] = {}
-        #: O(active) machinery: ids scheduled next cycle.  Lazy settling
-        #: needs queue ids == account ids (one shared SubscriberTable);
-        #: otherwise every registered queue stays permanently active.
-        self._lazy = queues.table is accounting.table
+        #: O(active) machinery: ids scheduled next cycle.
         self._active: Set[int] = set(queues.sorted_ids())
         for queue in queues:
             self.ledger.add_reservation(queue.subscriber)
@@ -146,8 +132,6 @@ class RequestScheduler:
     def _on_queue_registered(self, queue: RequestQueue) -> None:
         self.ledger.add_reservation(queue.subscriber)
         self._active.add(queue.sid)
-        if self.partition is not None:
-            self.partition.add(queue.subscriber.name)
 
     def _on_queue_unregistered(self, queue: RequestQueue) -> None:
         name = queue.subscriber.name
@@ -156,8 +140,6 @@ class RequestScheduler:
         self._active.discard(queue.sid)
         self._estimators.pop(name, None)
         self._balance_gauges.pop(name, None)
-        if self.partition is not None:
-            self.partition.discard(name)
 
     def estimator(self, name: str) -> UsageEstimator:
         """The usage estimator for one subscriber's queue.
@@ -167,10 +149,9 @@ class RequestScheduler:
         judged against.
         """
         estimator = self._estimator(name)
-        if self._lazy:
-            queue = self.queues.get(name)
-            if queue is not None:
-                self._active.add(queue.sid)
+        queue = self.queues.get(name)
+        if queue is not None:
+            self._active.add(queue.sid)
         return estimator
 
     def _estimator(self, name: str) -> UsageEstimator:
@@ -201,13 +182,8 @@ class RequestScheduler:
         # Wake subscribers with activity since the last cycle.
         for sid in queues.drain_activity():
             active.add(sid)
-        if self._lazy:
-            for sid in self.accounting.drain_dirty():
-                active.add(sid)
-        else:
-            # Separate id spaces: no settling, walk every queue (the
-            # historic behavior and cost).
-            active.update(queues.sorted_ids())
+        for sid in self.accounting.drain_dirty():
+            active.add(sid)
 
         # Pass 1: reserved credit, weighted round-robin over the active
         # queues.  The visit order rotates each cycle over the *full*
@@ -235,15 +211,13 @@ class RequestScheduler:
                 estimator = self._estimator(name)
                 predicted = estimator.predict()
                 cap = self.ledger.refill_cap(capped, predicted)
-                account: Optional[SubscriberAccount] = None
-                if self._lazy:
-                    account = self.accounting.account_by_id(sid)
+                account = self.accounting.account_by_id(sid)
                 if account is None:
-                    account = self.accounting.account(name)
+                    raise KeyError(name)
                 self.accounting.refill_account(account, credit, cap)
                 decisions.extend(self._drain_reserved(queue, account, estimator))
                 self._note_balance(name, account)
-                if self._lazy and not queue.backlogged:
+                if not queue.backlogged:
                     # Settle once the refill is an exact fixed point:
                     # skipping this subscriber next cycle is a no-op.
                     balance = account.balance
@@ -428,10 +402,9 @@ class RequestScheduler:
         for name, report in message.per_subscriber.items():
             queue = self.queues.get(name)
             if queue is not None:
-                if self._lazy:
-                    # Feedback mutates the estimator (refill cap) and the
-                    # balance: wake the subscriber for the next cycle.
-                    self._active.add(queue.sid)
+                # Feedback mutates the estimator (refill cap) and the
+                # balance: wake the subscriber for the next cycle.
+                self._active.add(queue.sid)
                 estimator = self._estimator(name)
                 if report.completed > 0:
                     # Prediction error: how far the dispatch-time estimate

@@ -127,7 +127,7 @@ class GageProxy(ClientSessionMixin):
         self.stats = ProxyStats()
         self.classifier = RequestClassifier(host_extractor=lambda head: head.host)
         self.queues = SubscriberQueues()
-        self.accounting = RDNAccounting()
+        self.accounting = RDNAccounting(self.queues.table)
         self.accounting.keep_usage_log = False
         self.node_scheduler = NodeScheduler(
             policy=self.config.node_policy, window_s=self.config.dispatch_window_s
@@ -296,10 +296,12 @@ class GageProxy(ClientSessionMixin):
     def credit_report(self) -> Tuple[Dict[str, ResourceVector], Dict[str, int]]:
         """(unused credit, backlog depth) per subscriber, for the supervisor.
 
-        Mirrors :meth:`repro.core.shard.SchedulerShard.credit_report`:
-        an idle subscriber offers the positive balance it hoards beyond
-        one cycle's refill; a backlogged one offers nothing and reports
-        its queue depth instead.
+        An idle subscriber offers the positive balance it hoards beyond
+        one cycle's refill — the next refill keeps it serving an arriving
+        burst until the following grant round.  A backlogged one offers
+        nothing and reports its queue depth instead.  The supervisor
+        feeds these to :class:`~repro.core.shard.GlobalAllocator` and
+        answers with :meth:`apply_credit_grant`.
         """
         unused: Dict[str, ResourceVector] = {}
         backlog: Dict[str, int] = {}

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core import RDNAccounting, Subscriber
+from repro.core import RDNAccounting, Subscriber, SubscriberTable
 from repro.core.feedback import AccountingMessage, RPNUsageReport
 from repro.core.grps import GENERIC_REQUEST, ResourceVector
 
 
 def make_accounting():
-    accounting = RDNAccounting()
+    accounting = RDNAccounting(SubscriberTable())
     accounting.register(Subscriber("a", 100))
     accounting.register(Subscriber("b", 50))
     return accounting

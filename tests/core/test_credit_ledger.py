@@ -41,19 +41,22 @@ def test_refill_cap_never_below_predicted_request():
 def test_spare_pool_is_capacity_minus_reservations():
     ledger = make_ledger(scheduling_cycle_s=0.010)
     subs = [Subscriber("a", 100), Subscriber("b", 50)]
+    for sub in subs:
+        ledger.add_reservation(sub)
     capacity = ResourceVector(1.0, 1.0, 12_500_000.0)  # 100 GRPS-ish
-    pool = ledger.spare_pool(capacity, subs)
+    pool = ledger.spare_pool_tracked(capacity)
     reserved = GENERIC_REQUEST.scaled(1.5)  # 150 GRPS * 10 ms
     expect = (capacity.scaled(0.010) - reserved).clamped_min(0.0)
     assert pool == expect
-    # Memoized path returns the same answer.
-    assert ledger.spare_pool(capacity, subs) == expect
+    # Re-adding an unchanged reservation leaves the tracked sum alone.
+    ledger.add_reservation(subs[0])
+    assert ledger.spare_pool_tracked(capacity) == expect
 
 
 def test_spare_pool_clamps_overbooked_cluster_to_zero():
     ledger = make_ledger(scheduling_cycle_s=0.010)
-    subs = [Subscriber("a", 10_000)]
-    assert ledger.spare_pool(ResourceVector(1.0, 1.0, 12_500_000.0), subs) == (
+    ledger.add_reservation(Subscriber("a", 10_000))
+    assert ledger.spare_pool_tracked(ResourceVector(1.0, 1.0, 12_500_000.0)) == (
         ResourceVector.ZERO
     )
 

@@ -17,7 +17,7 @@ from repro.core.config import GageConfig
 from repro.core.feedback import AccountingMessage, RPNUsageReport
 from repro.core.hedge import HedgeHooks, HedgeManager
 from repro.core.node_scheduler import NodeScheduler
-from repro.core.subscriber import Subscriber
+from repro.core.subscriber import Subscriber, SubscriberTable
 from repro.resources import ResourceVector
 from repro.sim import Environment
 
@@ -227,7 +227,7 @@ def test_pick_exclude_skips_nodes_holding_a_copy():
 
 
 def make_accounting():
-    accounting = RDNAccounting()
+    accounting = RDNAccounting(SubscriberTable())
     accounting.register(Subscriber("site1", 100))
     return accounting
 
@@ -304,7 +304,7 @@ OPS = st.lists(
 def test_conservation_holds_under_any_operation_mix(ops):
     """Charges are conserved no matter how dispatches, completions,
     hedge-cancellations, and node deaths interleave."""
-    accounting = RDNAccounting()
+    accounting = RDNAccounting(SubscriberTable())
     accounting.keep_usage_log = False
     accounting.register(Subscriber("site1", 100))
     in_flight = {"rpn1": [], "rpn2": [], "rpn3": []}

@@ -1,4 +1,6 @@
-"""O(active) scheduler walk: settling, waking, and eager equivalence."""
+"""O(active) scheduler walk: settling, waking, and every-subscriber equivalence."""
+
+import pytest
 
 from repro.core import (
     GageConfig,
@@ -7,6 +9,7 @@ from repro.core import (
     RequestScheduler,
     Subscriber,
     SubscriberQueues,
+    SubscriberTable,
 )
 from repro.core.feedback import AccountingMessage, RPNUsageReport
 from repro.core.grps import GENERIC_REQUEST, ResourceVector
@@ -15,13 +18,11 @@ from repro.core.grps import GENERIC_REQUEST, ResourceVector
 RPN_CAPACITY = ResourceVector(1.0, 1.0, 12_500_000)
 
 
-def build(subscribers, rpns=4, config=None, shared_table=True):
-    """Assemble a scheduler; shared_table selects the O(active) path."""
+def build(subscribers, rpns=4, config=None):
+    """Assemble a scheduler over queues and accounting sharing one table."""
     config = config or GageConfig()
     queues = SubscriberQueues()
-    accounting = (
-        RDNAccounting(table=queues.table) if shared_table else RDNAccounting()
-    )
+    accounting = RDNAccounting(queues.table)
     nodes = NodeScheduler(policy=config.node_policy, window_s=config.dispatch_window_s)
     for sub in subscribers:
         queues.register(sub)
@@ -69,11 +70,15 @@ def subs(count, reservation_grps=100):
     ]
 
 
-def test_lazy_mode_requires_shared_table():
-    lazy, *_ = build(subs(2), shared_table=True)
-    eager, *_ = build(subs(2), shared_table=False)
-    assert lazy._lazy
-    assert not eager._lazy
+def test_scheduler_rejects_separate_tables():
+    config = GageConfig()
+    queues = SubscriberQueues()
+    accounting = RDNAccounting(SubscriberTable())
+    nodes = NodeScheduler(window_s=config.dispatch_window_s)
+    with pytest.raises(ValueError):
+        RequestScheduler(
+            config, queues, accounting, nodes, lambda req, rpn, name, predicted: None
+        )
 
 
 def test_idle_subscribers_settle_out_of_the_walk():
@@ -125,23 +130,34 @@ def test_estimator_access_wakes_a_settled_subscriber():
     assert scheduler.active_count() == 1
 
 
-def test_lazy_and_eager_make_identical_decisions():
-    """The settled-subscriber skip must be a behavioral no-op."""
+def test_active_walk_and_full_walk_make_identical_decisions():
+    """The settled-subscriber skip must be a behavioral no-op.
 
-    def run(shared_table):
-        scheduler, queues, _acc, _nodes, dispatched = build(
-            subs(20, reservation_grps=50),
-            rpns=4,
-            shared_table=shared_table,
+    The reference run calls ``accounting.accounts()`` before every cycle:
+    that marks every account dirty, so the walk visits every subscriber,
+    as the historic eager walk did.  The trace mixes offers, feedback, a
+    supervisor-style ``credit`` grant and a hedge-style ``on_cancel``
+    refund — the balance mutations the proxy makes.
+    """
+
+    def run(walk_everyone):
+        scheduler, queues, accounting, _nodes, _d = build(
+            subs(20, reservation_grps=50), rpns=4
         )
         trace = []
-        for cycle in range(200):
+        refunds = 0
+        last = None
+        for cycle in range(300):
             # Deterministic, bursty workload: different subscribers go
             # active/idle at different times.
             if cycle % 7 == 0:
                 fill(queues, "sub{:04d}".format((cycle // 7) % 20), 5)
             if cycle % 13 == 0:
                 fill(queues, "sub0002", 3)
+            if cycle == 150:
+                accounting.credit("sub0011", GENERIC_REQUEST.scaled(3.0))
+            if walk_everyone:
+                accounting.accounts()
             decisions = scheduler.run_cycle()
             trace.extend(
                 (cycle, d.subscriber, d.rpn_id, d.spare) for d in decisions
@@ -154,25 +170,37 @@ def test_lazy_and_eager_make_identical_decisions():
                     {decisions[0].subscriber: 1},
                     now=float(cycle),
                 )
-        return trace
+            if decisions:
+                last = decisions[-1]
+            if cycle % 17 == 3 and last is not None:
+                refunds += accounting.on_cancel(last.subscriber, last.rpn_id, last.predicted)
+        assert refunds > 5
+        balances = [account.balance for account in accounting.accounts()]
+        return trace, balances
 
-    assert run(shared_table=True) == run(shared_table=False)
+    lazy_trace, lazy_balances = run(walk_everyone=False)
+    eager_trace, eager_balances = run(walk_everyone=True)
+    assert len(lazy_trace) > 100  # the workload actually dispatched
+    assert lazy_trace == eager_trace
+    assert lazy_balances == eager_balances
 
 
 def test_settled_balances_match_eager_balances():
-    def balances(shared_table):
-        scheduler, queues, accounting, _nodes, _d = build(
-            subs(10), shared_table=shared_table
-        )
+    def balances(walk_everyone):
+        scheduler, queues, accounting, _nodes, _d = build(subs(10))
         fill(queues, "sub0000", 50)
-        for _ in range(30):
+        for cycle in range(30):
+            if cycle == 12:
+                accounting.credit("sub0004", GENERIC_REQUEST.scaled(2.0))
+            if walk_everyone:
+                accounting.accounts()
             scheduler.run_cycle()
         return {
             name: accounting.account(name).balance
             for name in ("sub0000", "sub0004", "sub0009")
         }
 
-    assert balances(shared_table=True) == balances(shared_table=False)
+    assert balances(walk_everyone=False) == balances(walk_everyone=True)
 
 
 def test_churn_while_settled():

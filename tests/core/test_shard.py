@@ -1,26 +1,11 @@
-"""Tests for the sharded control plane (repro.core.shard)."""
+"""Tests for the shard map and the global credit allocator (repro.core.shard)."""
 
 import random
 
 import pytest
 
-from repro.core import (
-    GageConfig,
-    GlobalAllocator,
-    NodeScheduler,
-    RDNAccounting,
-    RequestScheduler,
-    ShardCreditReport,
-    ShardedScheduler,
-    ShardMap,
-    Subscriber,
-    SubscriberQueues,
-)
-from repro.core.feedback import AccountingMessage, RPNUsageReport
+from repro.core import GlobalAllocator, ShardCreditReport, ShardMap
 from repro.core.grps import ResourceVector
-
-#: An RPN that can deliver 100 generic requests per second.
-RPN_CAPACITY = ResourceVector(1.0, 1.0, 12_500_000)
 
 
 # -- ShardMap ---------------------------------------------------------------
@@ -191,152 +176,3 @@ def test_rebalance_conserves_credit_under_random_reports():
             )
         answers = allocator.rebalance(reports)
         assert_conserved(reports, answers)  # no dead-shard carry in play
-
-
-# -- ShardedScheduler -------------------------------------------------------
-
-
-def build_legacy(subscribers, config, rpns=4):
-    """The single-instance control plane, assembled by hand."""
-    queues = SubscriberQueues()
-    accounting = RDNAccounting()
-    nodes = NodeScheduler(policy=config.node_policy, window_s=config.dispatch_window_s)
-    for sub in subscribers:
-        queues.register(sub)
-        accounting.register(sub)
-    for index in range(rpns):
-        nodes.add_node("rpn{}".format(index), RPN_CAPACITY)
-    scheduler = RequestScheduler(
-        config, queues, accounting, nodes, dispatch_fn=lambda req, rpn, name, predicted: None
-    )
-    return scheduler, queues
-
-
-def feedback_message(rpn_id, usage_per_request, completed_by_name, now):
-    return AccountingMessage(
-        rpn_id=rpn_id,
-        cycle_start_s=now - 0.1,
-        cycle_end_s=now,
-        total_usage=ResourceVector.ZERO,
-        per_subscriber={
-            name: RPNUsageReport(usage_per_request.scaled(count), count)
-            for name, count in completed_by_name.items()
-        },
-    )
-
-
-def test_single_shard_matches_legacy_scheduler_decisions():
-    """workers=1 constraint: the sharded path must make byte-identical
-    scheduling decisions to a directly-constructed RequestScheduler."""
-    subscribers = [
-        Subscriber("gold", reservation_grps=200),
-        Subscriber("silver", reservation_grps=120),
-        Subscriber("bronze", reservation_grps=50),
-    ]
-    config = GageConfig(spare_policy="reservation")
-    capacities = {"rpn{}".format(i): RPN_CAPACITY for i in range(4)}
-
-    legacy, legacy_queues = build_legacy(subscribers, config)
-    sharded = ShardedScheduler(subscribers, capacities, config=config, num_shards=1)
-
-    rng = random.Random(7)
-    legacy_trace = []
-    sharded_trace = []
-    usage = ResourceVector(0.012, 0.008, 2100.0)
-    for cycle in range(200):
-        for sub in subscribers:
-            # A fixed-seed arrival pattern, identical for both planes.
-            arrivals = rng.randrange(0, 4)
-            for i in range(arrivals):
-                request = "{}-{}-{}".format(sub.name, cycle, i)
-                legacy_queues.get(sub.name).offer(request)
-                sharded.offer(sub.name, request)
-        legacy_trace.extend(
-            (d.subscriber, d.rpn_id, d.predicted, d.spare)
-            for d in legacy.run_cycle()
-        )
-        sharded_trace.extend(
-            (d.subscriber, d.rpn_id, d.predicted, d.spare)
-            for d in sharded.run_cycle()
-        )
-        if cycle % 10 == 9:
-            completed = {sub.name: rng.randrange(0, 3) for sub in subscribers}
-            now = 0.01 * (cycle + 1)
-            legacy.apply_feedback(
-                feedback_message("rpn0", usage, completed, now)
-            )
-            sharded.apply_feedback(
-                feedback_message("rpn0", usage, completed, now)
-            )
-            sharded.run_accounting_cycle()
-
-    assert legacy_trace == sharded_trace
-    assert len(legacy_trace) > 100  # the workload actually dispatched
-
-
-def test_single_shard_accounting_cycle_is_a_noop():
-    sub = Subscriber("a", reservation_grps=100)
-    sharded = ShardedScheduler([sub], {"rpn0": RPN_CAPACITY}, num_shards=1)
-    assert sharded.run_accounting_cycle() == {}
-    assert sharded.allocator.rebalances == 0
-
-
-def test_requests_route_to_the_home_shard():
-    subscribers = [Subscriber("s{}".format(i), 50) for i in range(8)]
-    capacities = {"rpn0": RPN_CAPACITY}
-    sharded = ShardedScheduler(
-        subscribers, capacities, num_shards=4, config=GageConfig()
-    )
-    for sub in subscribers:
-        assert sharded.offer(sub.name, "req")
-        shard = sharded.shard_for(sub.name)
-        assert len(shard.queues.get(sub.name)) == 1
-    assert not sharded.offer("unknown", "req")
-
-
-def test_credit_report_offers_hoard_and_reports_backlog():
-    config = GageConfig(spare_policy="none", dispatch_window_s=10.0)
-    subscribers = [Subscriber("a", 100), Subscriber("b", 100)]
-    sharded = ShardedScheduler(
-        subscribers, {"rpn0": RPN_CAPACITY}, config=config, num_shards=1
-    )
-    shard = sharded.shards[0]
-    for _ in range(5):  # both idle: balances accrue toward the cap
-        shard.run_cycle()
-    shard.offer("b", "req-held")  # backlogged but never scheduled here
-    report = shard.credit_report()
-    assert report.backlog == {"b": 1}
-    assert "b" not in report.unused
-    # "a" hoards 4 cycles of credit (the cap); it offers all but one
-    # cycle's refill back to the pool.
-    offered = report.unused["a"]
-    credit, _ = shard.ledger.cycle_credit(subscribers[0])
-    assert offered.cpu_s == pytest.approx(credit.scaled(3.0).cpu_s)
-
-
-def test_cross_shard_grant_moves_balance_between_shards():
-    """Two shards: the idle subscriber's hoard funds the backlogged one."""
-    config = GageConfig(spare_policy="reservation", dispatch_window_s=10.0)
-    # Pick names that land on different shards of a 2-shard map.
-    shard_map = ShardMap(2)
-    names = ["sub{}".format(i) for i in range(10)]
-    on_zero = [n for n in names if shard_map.shard_of(n) == 0][0]
-    on_one = [n for n in names if shard_map.shard_of(n) == 1][0]
-    subscribers = [Subscriber(on_zero, 100), Subscriber(on_one, 100)]
-    sharded = ShardedScheduler(
-        subscribers, {"rpn0": RPN_CAPACITY}, config=config, num_shards=2
-    )
-    idle_shard = sharded.shard_for(on_zero)
-    busy_shard = sharded.shard_for(on_one)
-    for _ in range(5):
-        sharded.run_cycle()  # on_zero hoards credit; on_one idle too
-    for i in range(500):
-        busy_shard.offer(on_one, "r{}".format(i))
-    before = busy_shard.accounting.account(on_one).balance
-    answers = sharded.run_accounting_cycle()
-    after = busy_shard.accounting.account(on_one).balance
-    assert after.cpu_s > before.cpu_s  # the grant landed
-    assert idle_shard.accounting.account(on_zero).balance.cpu_s == pytest.approx(
-        idle_shard.ledger.cycle_credit(subscribers[0])[0].cpu_s
-    )  # the hoard was reclaimed down to one cycle's refill
-    assert set(answers) == {0, 1}

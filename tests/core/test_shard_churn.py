@@ -1,35 +1,17 @@
-"""Sharded control plane under subscriber churn (join/leave mid-run).
+"""The global allocator under subscriber churn (join/leave mid-run).
 
-Two invariants:
-
-* **Conservation** — across any sequence of rebalances interleaved with
-  ``set_reservation``/``remove_reservation`` churn, every rebalance
-  grants exactly what it reclaims plus whatever carry it consumed; no
-  credit is minted or destroyed by churn.
-* **Equivalence** — with ``num_shards=1`` the churn-capable sharded
-  plane makes byte-identical decisions to a directly-constructed
-  RequestScheduler subjected to the same joins and leaves.
+**Conservation** — across any sequence of rebalances interleaved with
+``set_reservation``/``remove_reservation`` churn, every rebalance grants
+exactly what it reclaims plus whatever carry it consumed; no credit is
+minted or destroyed by churn.
 """
 
 import random
 
 import pytest
 
-from repro.core import (
-    GageConfig,
-    GlobalAllocator,
-    NodeScheduler,
-    RDNAccounting,
-    RequestScheduler,
-    ShardCreditReport,
-    ShardedScheduler,
-    Subscriber,
-    SubscriberQueues,
-)
+from repro.core import GlobalAllocator, ShardCreditReport
 from repro.core.grps import ResourceVector
-
-#: An RPN that can deliver 100 generic requests per second.
-RPN_CAPACITY = ResourceVector(1.0, 1.0, 12_500_000)
 
 
 def vec(grps_amount):
@@ -111,114 +93,3 @@ def test_removed_subscriber_carry_keeps_riding():
     granted, reclaimed = granted_and_reclaimed(answers)
     expect = reclaimed + carried - allocator.carry_total()
     assert granted.cpu_s == pytest.approx(expect.cpu_s)
-
-
-# -- ShardedScheduler churn routing ------------------------------------------
-
-
-def test_add_subscriber_routes_to_home_shard():
-    sharded = ShardedScheduler(
-        [Subscriber("seed", 50)], {"rpn0": RPN_CAPACITY}, num_shards=4
-    )
-    assert not sharded.offer("late", "req")
-    shard = sharded.add_subscriber(Subscriber("late", reservation_grps=200))
-    assert shard is sharded.shard_for("late")
-    assert sharded.offer("late", "req")
-    assert len(shard.queues.get("late")) == 1
-    assert shard.run_cycle()  # the new reservation dispatches
-
-
-def test_remove_subscriber_stops_routing_and_scheduling():
-    sharded = ShardedScheduler(
-        [Subscriber("a", 150), Subscriber("b", 150)],
-        {"rpn0": RPN_CAPACITY},
-        num_shards=2,
-    )
-    assert sharded.remove_subscriber("a")
-    assert not sharded.remove_subscriber("a")  # idempotent
-    assert not sharded.offer("a", "req")
-    assert sharded.offer("b", "req")
-    decisions = sharded.run_cycle()
-    assert {d.subscriber for d in decisions} == {"b"}
-
-
-def test_readding_a_removed_subscriber_starts_fresh():
-    sharded = ShardedScheduler(
-        [Subscriber("a", 100)], {"rpn0": RPN_CAPACITY}, num_shards=2
-    )
-    for _ in range(10):
-        sharded.run_cycle()  # hoard credit to the cap
-    sharded.remove_subscriber("a")
-    sharded.add_subscriber(Subscriber("a", reservation_grps=100))
-    shard = sharded.shard_for("a")
-    for i in range(20):
-        shard.offer("a", "req-{}".format(i))
-    decisions = sharded.run_cycle()
-    # A fresh join has exactly one cycle of credit — the old hoard died
-    # with the old registration.
-    assert len([d for d in decisions if not d.spare]) == 1
-
-
-# -- workers=1 equivalence under churn ---------------------------------------
-
-
-def test_single_shard_churn_matches_legacy_scheduler():
-    config = GageConfig(spare_policy="reservation")
-    initial = [Subscriber("s0", 100), Subscriber("s1", 60)]
-    capacities = {"rpn{}".format(i): RPN_CAPACITY for i in range(4)}
-
-    queues = SubscriberQueues()
-    accounting = RDNAccounting(table=queues.table)
-    nodes = NodeScheduler(policy=config.node_policy, window_s=config.dispatch_window_s)
-    for sub in initial:
-        queues.register(sub)
-        accounting.register(sub)
-    for rpn_id, capacity in capacities.items():
-        nodes.add_node(rpn_id, capacity)
-    legacy = RequestScheduler(
-        config, queues, accounting, nodes,
-        dispatch_fn=lambda req, rpn, name, predicted: None,
-    )
-
-    sharded = ShardedScheduler(initial, capacities, config=config, num_shards=1)
-
-    def legacy_add(sub):
-        queues.register(sub)
-        accounting.register(sub)
-
-    def legacy_remove(name):
-        accounting.unregister(name)
-        queues.unregister(name)
-
-    rng = random.Random(23)
-    live = ["s0", "s1"]
-    next_index = 2
-    legacy_trace, sharded_trace = [], []
-    for cycle in range(150):
-        if cycle % 20 == 5:
-            name = "s{}".format(next_index)
-            next_index += 1
-            sub = Subscriber(name, reservation_grps=float(rng.randrange(40, 120)))
-            legacy_add(sub)
-            sharded.add_subscriber(Subscriber(name, sub.reservation_grps))
-            live.append(name)
-        if cycle % 30 == 15 and len(live) > 1:
-            victim = live.pop(rng.randrange(len(live)))
-            legacy_remove(victim)
-            sharded.remove_subscriber(victim)
-        for name in live:
-            for i in range(rng.randrange(0, 3)):
-                request = "{}-{}-{}".format(name, cycle, i)
-                queues.get(name).offer(request)
-                sharded.offer(name, request)
-        legacy_trace.extend(
-            (d.subscriber, d.rpn_id, d.predicted, d.spare)
-            for d in legacy.run_cycle()
-        )
-        sharded_trace.extend(
-            (d.subscriber, d.rpn_id, d.predicted, d.spare)
-            for d in sharded.run_cycle()
-        )
-
-    assert legacy_trace == sharded_trace
-    assert len(legacy_trace) > 50
