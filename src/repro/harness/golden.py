@@ -19,16 +19,24 @@ exact same simulated instant on different nodes.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from typing import List
 
 from repro.core.config import GageConfig
 from repro.core.simulation import GageCluster
 from repro.core.subscriber import Subscriber
+from repro.net import packet as packet_module
+from repro.net.link import Interface
+from repro.net.packet import Packet
+from repro.net.tracer import PacketTracer
 from repro.sim.engine import Environment
+from repro.workload import request as request_module
 from repro.workload.synthetic import SyntheticWorkload
 
 #: Bump only when the golden scenario itself (not the engine) changes.
 SCENARIO = "golden-fig3/1"
+#: Bump only when the frame serialization (not the network) changes.
+FRAME_SCENARIO = "golden-frames/1"
 
 
 def golden_fig3_cluster(
@@ -38,7 +46,22 @@ def golden_fig3_cluster(
     spare_policy: str = "none",
     reservation_grps: float = 120.0,
 ) -> GageCluster:
-    """Run the canonical small Figure-3-style scenario and return the cluster.
+    """Run the canonical small Figure-3-style scenario and return the cluster."""
+    cluster = build_golden_fig3_cluster(
+        duration_s, seed, fidelity, spare_policy, reservation_grps
+    )
+    cluster.run(duration_s)
+    return cluster
+
+
+def build_golden_fig3_cluster(
+    duration_s: float = 3.0,
+    seed: int = 7,
+    fidelity: str = "flow",
+    spare_policy: str = "none",
+    reservation_grps: float = 120.0,
+) -> GageCluster:
+    """Build the canonical small Figure-3-style scenario, trace loaded, unrun.
 
     Two subscribers driven above reservation, a 100 ms accounting cycle,
     two RPNs — small enough for a test, busy enough to exercise the CPU
@@ -70,7 +93,6 @@ def golden_fig3_cluster(
         rpn_cache_bytes=8 * 1024 * 1024,
     )
     cluster.load_trace(workload.generate())
-    cluster.run(duration_s)
     return cluster
 
 
@@ -102,3 +124,50 @@ def accounting_digest(cluster: GageCluster) -> str:
 def golden_fig3_digest(duration_s: float = 3.0, seed: int = 7) -> str:
     """Digest of the canonical scenario — what the golden test compares."""
     return accounting_digest(golden_fig3_cluster(duration_s=duration_s, seed=seed))
+
+
+def golden_frame_lines(duration_s: float = 3.0, seed: int = 7) -> List[str]:
+    """Every frame the packet-fidelity golden run delivers, in order.
+
+    One line per delivery to a switch port or the interface wired to it:
+    ``repr`` of the arrival time, the interface name, then every
+    :class:`Packet` slot.  Packet and request ids come from process-wide
+    counters, so the run numbers both from 1 on counters of its own and
+    hands the process's counters back afterwards.
+    """
+    saved = packet_module._packet_ids, request_module._request_ids
+    packet_module._packet_ids = itertools.count(1)
+    request_module._request_ids = itertools.count(1)
+    try:
+        cluster = build_golden_fig3_cluster(duration_s, seed, fidelity="packet")
+        interfaces: List[Interface] = []
+        for switch in cluster.switches:
+            for port in switch.ports:
+                for iface in (port, port.peer):
+                    if iface is not None and iface not in interfaces:
+                        interfaces.append(iface)
+        tracer = PacketTracer(cluster.env, interfaces, max_packets=10_000_000)
+        with tracer:
+            cluster.run(duration_s)
+    finally:
+        packet_module._packet_ids, request_module._request_ids = saved
+    if tracer.dropped_over_limit:
+        raise RuntimeError("frame capture truncated")
+    return [
+        "{!r} {} {}".format(
+            entry.at_s,
+            entry.interface,
+            " ".join(repr(getattr(entry.packet, slot)) for slot in Packet.__slots__),
+        )
+        for entry in tracer.captured
+    ]
+
+
+def frames_digest(lines: List[str]) -> str:
+    """SHA-256 over serialized frame lines."""
+    return hashlib.sha256("\n".join([FRAME_SCENARIO] + lines).encode()).hexdigest()
+
+
+def golden_frames_digest(duration_s: float = 3.0, seed: int = 7) -> str:
+    """Digest of the packet-fidelity golden run's frames — the frame golden."""
+    return frames_digest(golden_frame_lines(duration_s, seed))

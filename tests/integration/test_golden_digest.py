@@ -4,6 +4,8 @@
 ``golden_packet.sha256`` pins the same scenario in packet fidelity, and
 ``golden_spare.sha256`` pins spare allocation on (the default policy)
 with reservations that leave half the cluster spare.
+``golden_frames.sha256`` pins the packet-fidelity run frame by frame:
+every delivery to every switch port and host interface, with its time.
 
 ``golden_fig3.sha256`` was computed from the pre-refactor engine
 (dataclass packets, Event-per-``call_later``, per-slice CPU processes).
@@ -23,13 +25,17 @@ import pytest
 from repro.core.config import SPARE_BY_RESERVATION
 
 from repro.harness.golden import (
+    FRAME_SCENARIO,
     SCENARIO,
     accounting_digest,
     accounting_lines,
+    frames_digest,
     golden_fig3_cluster,
+    golden_frame_lines,
 )
 
 GOLDEN_FILE = Path(__file__).with_name("golden_fig3.sha256")
+FRAMES_FILE = Path(__file__).with_name("golden_frames.sha256")
 
 #: Digest file -> ``golden_fig3_cluster`` arguments for the variants.
 VARIANTS = {
@@ -82,3 +88,12 @@ def test_spare_variant_dispatches_on_spare_credit():
     # The spare digest only pins the spare rounds if they run.
     cluster = golden_fig3_cluster(**VARIANTS["golden_spare.sha256"])
     assert cluster.rdn.scheduler.spare_dispatches > 100
+
+
+def test_frame_trace_matches_committed_digest():
+    lines = golden_frame_lines()
+    assert len(lines) > 10_000
+    assert frames_digest(lines) == FRAMES_FILE.read_text().strip(), (
+        "the packet-fidelity golden run delivered different frames, or the "
+        "same frames at different times ({})".format(FRAME_SCENARIO)
+    )
