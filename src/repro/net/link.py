@@ -1,19 +1,19 @@
 """Point-to-point network interfaces and links.
 
-An :class:`Interface` is one end of a full-duplex link: it owns a bounded
-transmit queue and a transmit process that serializes one frame at a time
-at the configured bandwidth, then delivers to the peer interface after the
-propagation latency.  Loss injection (for failure tests) drops frames
-after serialization with a configurable probability.
+An :class:`Interface` is one end of a full-duplex link.  Frames wait in a
+bounded FIFO whose head is the frame on the wire, serialized at the link's
+bandwidth; each reaches the peer after the propagation latency.  A frame
+costs two scheduled callbacks and no process runs per interface.  Loss
+injection (for failure tests) drops frames after serialization.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Deque, Optional
 
 from repro.sim.engine import Environment
-from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
@@ -47,6 +47,8 @@ class Interface:
             raise ValueError("latency must be non-negative")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must lie in [0, 1)")
+        if queue_frames <= 0:
+            raise ValueError("queue_frames must be positive")
         self.env = env
         self.name = name
         self.bandwidth_bps = float(bandwidth_bps)
@@ -59,14 +61,14 @@ class Interface:
         self.up = True
         #: Called with (packet, this interface) on frame arrival.
         self.on_receive: Optional[ReceiveHook] = None
-        self._queue = Store(env, capacity=queue_frames)
+        self._queue: Deque["Packet"] = deque()
+        self._queue_frames = queue_frames
         self.tx_frames = 0
         self.tx_bytes = 0
         self.rx_frames = 0
         self.rx_bytes = 0
         self.dropped_full = 0
         self.dropped_loss = 0
-        env.process(self._tx_loop())
 
     def __repr__(self) -> str:
         return "<Interface {} tx={} rx={}>".format(self.name, self.tx_frames, self.rx_frames)
@@ -81,34 +83,32 @@ class Interface:
     @property
     def queue_depth(self) -> int:
         """Frames currently waiting to be serialized."""
-        return len(self._queue)
+        return max(len(self._queue) - 1, 0)
 
     def send(self, packet: "Packet") -> bool:
         """Queue a frame for transmission; False (and a drop) if full."""
-        if self._queue.try_put(packet):
-            return True
-        self.dropped_full += 1
-        return False
+        if len(self._queue) > self._queue_frames:
+            self.dropped_full += 1
+            return False
+        self._queue.append(packet)
+        if len(self._queue) == 1:
+            self.env.call_later(self.serialization_delay(packet), self._tx_done, packet)
+        return True
 
     def serialization_delay(self, packet: "Packet") -> float:
         """Seconds needed to clock the frame onto the wire."""
         return packet.total_len * 8.0 / self.bandwidth_bps
 
-    def _tx_loop(self):
-        while True:
-            packet = yield self._queue.get()
-            yield self.env.timeout(self.serialization_delay(packet))
-            self.tx_frames += 1
-            self.tx_bytes += packet.total_len
-            if self.peer is None:
-                continue
-            if not self.up:
-                self.dropped_loss += 1
-                continue
-            if self.loss_rate and self._loss_rng.random() < self.loss_rate:
-                self.dropped_loss += 1
-                continue
+    def _tx_done(self, packet: "Packet") -> None:
+        self._queue.popleft()
+        self.tx_frames += 1
+        self.tx_bytes += packet.total_len
+        if self.peer is not None and self.up and not (self.loss_rate and self._loss_rng.random() < self.loss_rate):
             self.env.call_later(self.latency_s, self.peer._deliver, packet)
+        elif self.peer is not None:
+            self.dropped_loss += 1
+        if self._queue:
+            self.env.call_later(self.serialization_delay(self._queue[0]), self._tx_done, self._queue[0])
 
     def _deliver(self, packet: "Packet") -> None:
         if not self.up:

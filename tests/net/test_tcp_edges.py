@@ -81,8 +81,6 @@ def test_syn_lost_then_retransmitted(env):
     env2 = env
     net = Net(env2, rto_s=0.05)
     # Drop the first few frames deterministically.
-    drops = {"left": 1}
-    original = net.a.nic.iface._tx_loop  # noqa: F841 (documentation)
     net.a.nic.iface.loss_rate = 0.999
     net.a.nic.iface._loss_rng = random.Random(0)
 
