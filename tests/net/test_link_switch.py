@@ -19,6 +19,18 @@ def frame(src_mac, dst_mac, payload_len=0):
     )
 
 
+class FixedDraws:
+    """A loss RNG that always draws ``value`` and counts its draws."""
+
+    def __init__(self, value):
+        self.value = value
+        self.count = 0
+
+    def random(self):
+        self.count += 1
+        return self.value
+
+
 def test_interface_validation():
     env = Environment()
     with pytest.raises(ValueError):
@@ -62,13 +74,102 @@ def test_serialization_is_sequential():
 
 
 def test_queue_overflow_drops():
+    # One frame in flight plus queue_frames waiting, whether or not the
+    # environment has run yet.
+    for warm in (False, True):
+        env = Environment()
+        a = Interface(env, "a", queue_frames=2)
+        b = Interface(env, "b")
+        a.connect(b)
+        if warm:
+            env.run(until=1.0)
+        accepted = [a.send(frame("02:00:00:00:00:01", "02:00:00:00:00:02")) for _ in range(5)]
+        assert accepted == [True, True, True, False, False]
+        assert a.dropped_full == 2
+        assert a.queue_depth == 2
+        env.run()
+        assert a.queue_depth == 0
+        assert b.rx_frames == 3
+
+
+def test_link_down_during_serialization_drops_when_it_ends():
     env = Environment()
-    a = Interface(env, "a", queue_frames=2)
+    draws = FixedDraws(0.99)  # never below loss_rate: only "down" drops
+    a = Interface(env, "a", bandwidth_bps=100e6, latency_s=0.0, loss_rate=0.5, loss_rng=draws)
     b = Interface(env, "b")
     a.connect(b)
-    accepted = [a.send(frame("02:00:00:00:00:01", "02:00:00:00:00:02")) for _ in range(5)]
-    assert accepted.count(True) <= 3  # 2 queued + possibly 1 in flight
-    assert a.dropped_full >= 2
+    received = []
+    b.on_receive = lambda pkt, iface: received.append(pkt.pid)
+    # 80 us per frame: they end at 80, 160, 240 and 320 us.
+    frames = [frame("02:00:00:00:00:01", "02:00:00:00:00:02", payload_len=946) for _ in range(4)]
+    for pkt in frames:
+        a.send(pkt)
+    counters = []
+
+    def snapshot():
+        counters.append((a.tx_frames, a.dropped_loss))
+
+    env.call_later(40e-6, setattr, a, "up", False)  # mid first frame
+    env.call_later(79e-6, snapshot)
+    env.call_later(81e-6, snapshot)
+    env.call_later(200e-6, setattr, a, "up", True)  # mid third frame
+    env.run()
+    assert counters == [(0, 0), (1, 1)]
+    assert a.tx_frames == 4
+    assert a.dropped_loss == 2
+    assert received == [frames[2].pid, frames[3].pid]
+    assert draws.count == 2  # a downed link drops without drawing
+
+
+def test_loss_rate_change_applies_to_frames_ending_after_it():
+    env = Environment()
+    draws = FixedDraws(0.0)
+    a = Interface(env, "a", bandwidth_bps=100e6, latency_s=0.0, loss_rng=draws)
+    b = Interface(env, "b")
+    a.connect(b)
+    received = []
+    b.on_receive = lambda pkt, iface: received.append(pkt.pid)
+    frames = [frame("02:00:00:00:00:01", "02:00:00:00:00:02", payload_len=946) for _ in range(3)]
+    for pkt in frames:
+        a.send(pkt)
+    # The second frame starts serializing at 80 us, before the change,
+    # and ends at 160 us, after it: the new rate decides its fate.
+    env.call_later(120e-6, setattr, a, "loss_rate", 0.5)
+    env.run()
+    assert received == [frames[0].pid]
+    assert a.dropped_loss == 2
+    assert draws.count == 2
+
+
+def test_back_to_back_frames_end_at_chained_times():
+    env = Environment()
+    a = Interface(env, "a", bandwidth_bps=100e6, latency_s=7e-6)
+    b = Interface(env, "b")
+    a.connect(b)
+    arrivals = []
+    b.on_receive = lambda pkt, iface: arrivals.append(env.now)
+    frames = [
+        frame("02:00:00:00:00:01", "02:00:00:00:00:02", payload_len=size)
+        for size in (946, 100, 1446, 0, 333)
+    ]
+    for pkt in frames:
+        a.send(pkt)
+    env.run()
+    expected = []
+    end = 0.0
+    for pkt in frames:
+        end += a.serialization_delay(pkt)
+        expected.append(end + a.latency_s)
+    assert arrivals == expected
+
+
+def test_building_a_switched_network_schedules_nothing():
+    env = Environment()
+    switch = Switch(env, ports=16)
+    for index in range(16):
+        nic = NIC(env, MACAddress("02:00:00:00:00:{:02x}".format(index + 1)), name=str(index))
+        switch.attach(nic.iface)
+    assert env.peek() == float("inf")
 
 
 def test_double_connect_rejected():
