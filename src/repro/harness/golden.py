@@ -46,7 +46,7 @@ def golden_fig3_cluster(
     spare_policy: str = "none",
     reservation_grps: float = 120.0,
 ) -> GageCluster:
-    """Run the canonical small Figure-3-style scenario and return the cluster."""
+    """Build and run :func:`build_golden_fig3_cluster`'s scenario; return the cluster."""
     cluster = build_golden_fig3_cluster(
         duration_s, seed, fidelity, spare_policy, reservation_grps
     )

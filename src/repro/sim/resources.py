@@ -8,8 +8,8 @@ These model the three kinds of sharing the cluster simulation needs:
   by (priority, arrival); used where QoS classes contend directly.
 - :class:`Container` — a homogeneous quantity (e.g. bytes of buffer-cache
   budget) with put/get of amounts.
-- :class:`Store` — a queue of distinct Python objects (e.g. packets in a
-  NIC transmit queue); supports bounded capacity.
+- :class:`Store` — a queue of distinct Python objects handed from
+  producer to consumer processes; supports bounded capacity.
 """
 
 from __future__ import annotations
