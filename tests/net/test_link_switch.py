@@ -39,6 +39,8 @@ def test_interface_validation():
         Interface(env, "x", latency_s=-1)
     with pytest.raises(ValueError):
         Interface(env, "x", loss_rate=1.0)
+    with pytest.raises(ValueError):
+        Interface(env, "x", queue_frames=0)
 
 
 def test_point_to_point_delivery_timing():
