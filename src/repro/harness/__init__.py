@@ -12,7 +12,6 @@ from repro.harness.golden import (
     accounting_lines,
     golden_fig3_cluster,
     golden_fig3_digest,
-    golden_frames_digest,
 )
 from repro.harness.experiment import (
     DeviationCurve,
@@ -61,7 +60,6 @@ __all__ = [
     "format_table",
     "golden_fig3_cluster",
     "golden_fig3_digest",
-    "golden_frames_digest",
     "line_chart",
     "run_deviation_experiment",
     "run_isolation",
